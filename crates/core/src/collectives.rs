@@ -17,6 +17,7 @@
 //! phases consume label fields LSB→MSB (incoming regions stay
 //! contiguous, no shuffles needed); rooted patterns consume MSB→LSB.
 
+use crate::verify::block_matches;
 use mce_hypercube::NodeId;
 use mce_simnet::{Op, Program, Tag};
 
@@ -215,11 +216,7 @@ pub fn allgather_memories(d: u32, m: usize) -> Vec<Vec<u8>> {
 pub fn verify_allgather(d: u32, m: usize, memories: &[Vec<u8>]) -> bool {
     let n = 1usize << d;
     memories.iter().all(|mem| {
-        (0..n).all(|q| {
-            mem[q * m..(q + 1) * m].iter().enumerate().all(|(k, &b)| {
-                b == crate::verify::stamp_byte(NodeId(q as u32), NodeId(q as u32), k)
-            })
-        })
+        (0..n).all(|q| block_matches(&mem[q * m..(q + 1) * m], NodeId(q as u32), NodeId(q as u32)))
     })
 }
 
@@ -240,12 +237,10 @@ pub fn scatter_memories(d: u32, m: usize) -> Vec<Vec<u8>> {
 
 /// Verify scatter: node `q` holds block `(0 -> q)` at slot `q`.
 pub fn verify_scatter(_d: u32, m: usize, memories: &[Vec<u8>]) -> bool {
-    memories.iter().enumerate().all(|(q, mem)| {
-        mem[q * m..(q + 1) * m]
-            .iter()
-            .enumerate()
-            .all(|(k, &b)| b == crate::verify::stamp_byte(NodeId(0), NodeId(q as u32), k))
-    })
+    memories
+        .iter()
+        .enumerate()
+        .all(|(q, mem)| block_matches(&mem[q * m..(q + 1) * m], NodeId(0), NodeId(q as u32)))
 }
 
 /// Initial memories for broadcast: root 0 holds the stamped message.
@@ -258,11 +253,7 @@ pub fn broadcast_memories(d: u32, m: usize) -> Vec<Vec<u8>> {
 
 /// Verify broadcast: every node holds the root's message.
 pub fn verify_broadcast(_d: u32, _m: usize, memories: &[Vec<u8>]) -> bool {
-    memories.iter().all(|mem| {
-        mem.iter()
-            .enumerate()
-            .all(|(k, &b)| b == crate::verify::stamp_byte(NodeId(0), NodeId(0), k))
-    })
+    memories.iter().all(|mem| block_matches(mem, NodeId(0), NodeId(0)))
 }
 
 #[cfg(test)]

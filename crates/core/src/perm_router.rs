@@ -230,10 +230,7 @@ pub fn verify_permutation(perm: &[NodeId], m: usize, memories: &[Vec<u8>]) -> bo
         if NodeId(x as u32) == dst {
             return true;
         }
-        memories[dst.index()][m..2 * m]
-            .iter()
-            .enumerate()
-            .all(|(k, &b)| b == crate::verify::stamp_byte(NodeId(x as u32), dst, k))
+        crate::verify::block_matches(&memories[dst.index()][m..2 * m], NodeId(x as u32), dst)
     })
 }
 

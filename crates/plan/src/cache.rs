@@ -11,7 +11,7 @@ use mce_model::{ConditionFingerprint, MachineParams};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Multiply-rotate hasher in the rustc-hash mold. The cache probes on
 /// every warm query, keys are a handful of machine-word writes (the
@@ -154,9 +154,18 @@ impl HullCache {
         &self.shards[(h.finish().rotate_left(17) % self.shards.len() as u64) as usize]
     }
 
+    /// Lock a shard, recovering it if a thread panicked while holding
+    /// it. A shard is consistent between any two statements of the
+    /// critical sections below (at worst one entry over capacity, which
+    /// the next insert evicts), so a poisoned shard keeps serving
+    /// instead of panicking every later query that hashes to it.
+    fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+        shard.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Fetch the hull for `key`, bumping its recency.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<PlanHull>> {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+        let mut shard = Self::lock(self.shard(key));
         shard.tick += 1;
         let tick = shard.tick;
         shard.map.get_mut(key).map(|e| {
@@ -170,7 +179,7 @@ impl HullCache {
     /// insert; last write wins (the hulls are identical — keys are
     /// structural — so this only wastes the duplicate build).
     pub fn insert(&self, key: CacheKey, hull: Arc<PlanHull>) {
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+        let mut shard = Self::lock(self.shard(&key));
         shard.tick += 1;
         let tick = shard.tick;
         shard.map.insert(key, Entry { hull, last_used: tick });
@@ -188,7 +197,7 @@ impl HullCache {
 
     /// Total cached hulls across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").map.len()).sum()
+        self.shards.iter().map(|s| Self::lock(s).map.len()).sum()
     }
 
     /// Whether no hull is cached.
@@ -199,6 +208,21 @@ impl HullCache {
     /// Evictions since construction.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Poison every shard: a thread takes each lock and panics.
+    #[cfg(test)]
+    pub(crate) fn poison_shards(&self) {
+        for shard in &self.shards {
+            let poisoner = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _held = shard.lock();
+                    panic!("poisoning a cache shard on purpose");
+                })
+                .join()
+            });
+            assert!(poisoner.is_err() && shard.is_poisoned());
+        }
     }
 }
 

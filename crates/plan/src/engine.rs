@@ -333,6 +333,31 @@ mod tests {
     use mce_simnet::conformance::hotspot_condition;
 
     #[test]
+    fn poisoned_cache_shard_keeps_serving() {
+        // One shard, so every key lands on the poisoned one.
+        let engine = PlanEngine::new(PlanOptions { shards: 1, ..PlanOptions::default() });
+        let q = PlanQuery::clean(6, 24.0, MachineParams::ipsc860());
+        let before = engine.answer(&q);
+        let key = engine.resolve(&q).key;
+        engine.cache.poison_shards();
+        assert!(engine.cache.get(&key).is_some(), "get serves a poisoned shard");
+        assert_eq!(engine.answer(&q), before, "a warm answer from a poisoned shard");
+        // A miss builds and inserts into the poisoned shard.
+        let other = PlanQuery::clean(5, 24.0, MachineParams::ipsc860());
+        let (best, _) = conditioned_best_partition(
+            &MachineParams::ipsc860(),
+            24.0,
+            5,
+            &ConditionSummary::noop(5),
+        );
+        assert_eq!(engine.answer(&other).best_partition, best);
+        assert_eq!(engine.cache.len(), 2);
+        engine.cache.insert(key.clone(), engine.cache.get(&key).unwrap());
+        assert_eq!(engine.cache.len(), 2);
+        assert_eq!(engine.stats().misses, 2);
+    }
+
+    #[test]
     fn clean_query_names_the_paper_winner() {
         let engine = PlanEngine::default();
         // d = 6, m = 24: the paper's {2,4}-flavoured regime — the hull

@@ -35,14 +35,31 @@
 //!    degrades to the analytic hull answer instead of aborting — the
 //!    service stays up.
 //!
-//! Exactness contract: the winning partition is always bit-equal to
+//! Exactness contract. A hull is exact for the summary it was built
+//! from — the first summary queried under its fingerprint, or the one
+//! that rebuilt it after an eviction. For that summary the winning
+//! partition is always bit-equal to
 //! [`conditioned_best_partition`](mce_model::conditioned_best_partition)
-//! (boundary-adjacent queries re-run the exact enumeration fold);
+//! (boundary-adjacent queries re-run the exact enumeration fold), and
 //! predicted times are affine recombinations by default (≤ 1e-9
 //! relative of the model) or, with
 //! [`PlanOptions::exact_predictions`], direct model evaluations
 //! bit-equal to `predicted_us_with`. Both pins are property-tested in
 //! `tests/plan_properties.rs`.
+//!
+//! Any other summary with the same fingerprint is answered from that
+//! hull: off the boundary bands it gets the built summary's winner and
+//! prediction. Fingerprint-mates agree field by field to within
+//! `2^-FINGERPRINT_MANTISSA_BITS` (≈ 0.4%) relative
+//! ([`FINGERPRINT_MANTISSA_BITS`](mce_model::FINGERPRINT_MANTISSA_BITS)),
+//! so the prediction misses the query's own model value by the model's
+//! response to such a change of its fields: up to ~8e-4 relative on
+//! single background streams at d6–d8. The winner can differ from the
+//! query's own best only where the two partitions' prices lie within
+//! their price shifts between the summaries, and then costs at most
+//! those shifts more. In exact mode the prediction is the model's
+//! price of that winner on the query's own summary.
+//! `tests/fingerprint_mates.rs` pins this.
 
 pub mod cache;
 pub mod engine;
@@ -205,10 +222,13 @@ pub struct PlanOptions {
     pub per_shard_capacity: usize,
     /// `false` (default): warm predictions are affine recombinations
     /// from the cached face — no model evaluation, ≤ 1e-9 relative of
-    /// the model's value. `true`: one direct model evaluation of the
-    /// winner per answer, bit-equal to
-    /// `mce_simnet::conformance::predicted_us_with`. The winning
-    /// partition is exact either way.
+    /// the model's value on the summary the hull was built from (a
+    /// fingerprint-mate's own value can differ by the model's response
+    /// to the fingerprint's quantization; see the crate docs). `true`:
+    /// one direct model evaluation of the winner on the query's own
+    /// summary per answer, bit-equal to
+    /// `mce_simnet::conformance::predicted_us_with` for that winner.
+    /// The winner is the same either way: exact for the built summary.
     pub exact_predictions: bool,
     /// Simulator-fallback policy.
     pub fallback: FallbackPolicy,
